@@ -21,6 +21,12 @@
 //   - append whose destination escapes (a field, an element, a
 //     global), unless it is the self-append idiom `x.f = append(x.f,
 //     ...)` that recycles capacity and is amortized allocation-free.
+//
+// A //lint:ignore hotpath directive covering a call also stops the walk
+// at that call: the callee is deliberately off the hot path there (a
+// fault-injection duplicate, say), so what it does is not charged to
+// the root. The same callee reached from another annotated call site is
+// still walked.
 package lint
 
 import (
@@ -69,6 +75,7 @@ func runHotPath(prog *Program, pkgs []*Package) []Finding {
 	}
 
 	seen := map[*ast.FuncDecl]bool{}
+	offPath := map[*Package]map[token.Position]bool{}
 	var findings []Finding
 	for len(work) > 0 {
 		item := work[0]
@@ -92,6 +99,11 @@ func runHotPath(prog *Program, pkgs []*Package) []Finding {
 		if item.fd.Decl.Body == nil {
 			continue
 		}
+		off, ok := offPath[pkg]
+		if !ok {
+			off = offPathLines(prog, pkg)
+			offPath[pkg] = off
+		}
 		ast.Inspect(item.fd.Decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
@@ -99,6 +111,9 @@ func runHotPath(prog *Program, pkgs []*Package) []Finding {
 				return false // the closure body runs elsewhere
 			case *ast.CallExpr:
 				if fn := funcFor(pkg.Info, n); fn != nil {
+					if p := prog.Fset.Position(n.Pos()); off[token.Position{Filename: p.Filename, Line: p.Line}] {
+						return true
+					}
 					checkHotCall(prog, n, fn, report, &work, item.root)
 				} else if b := builtinFor(pkg.Info, n); b == "make" {
 					switch pkg.Info.Types[n].Type.Underlying().(type) {
@@ -135,6 +150,30 @@ func runHotPath(prog *Program, pkgs []*Package) []Finding {
 		})
 	}
 	return findings
+}
+
+// offPathLines returns the file lines covered by a well-formed
+// //lint:ignore hotpath directive in pkg (its own line and the next),
+// keyed by filename and line.
+func offPathLines(prog *Program, pkg *Package) map[token.Position]bool {
+	lines := map[token.Position]bool{}
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !strings.HasPrefix(c.Text, ignorePrefix) {
+					continue
+				}
+				fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
+				if len(fields) < 2 || fields[0] != "hotpath" {
+					continue
+				}
+				p := prog.Fset.Position(c.Pos())
+				lines[token.Position{Filename: p.Filename, Line: p.Line}] = true
+				lines[token.Position{Filename: p.Filename, Line: p.Line + 1}] = true
+			}
+		}
+	}
+	return lines
 }
 
 // checkHotCall flags forbidden callees and enqueues module callees for

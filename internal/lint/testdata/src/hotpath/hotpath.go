@@ -36,6 +36,8 @@ func Hot(n int, buf []byte) []byte {
 	_ = f
 	sink = append(src, n) // want "append into escaping destination"
 	helper(pick(n))
+	//lint:ignore hotpath the fixture's deliberate off-path call is not walked
+	coldHelper(n)
 	pktCtr.Record(1)
 	level.Set(1.5)
 	waitSkt.Observe(int64(n))
@@ -55,6 +57,12 @@ type holder struct{ items []int }
 // "reachable from" suffix.
 func helper(s string) {
 	_ = s + "!" // want "string concatenation allocates"
+}
+
+// coldHelper allocates, but its only hot caller opts out with a
+// directive on the call, so its body is never scanned.
+func coldHelper(n int) []int {
+	return make([]int, n)
 }
 
 func pick(n int) string {

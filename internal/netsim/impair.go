@@ -152,6 +152,8 @@ func (i *Iface) Flush(reason telemetry.DropReason) int {
 // down-windows and impairments apply here, then propagation delay
 // (plus jitter) carries it to the peer. Delivery re-checks the down
 // state so an outage cuts packets already in flight.
+//
+//tva:hotpath
 func (i *Iface) launch(pkt *packet.Packet) {
 	if i.down {
 		i.fault(pkt, telemetry.DropLinkDown)
@@ -168,18 +170,17 @@ func (i *Iface) launch(pkt *packet.Packet) {
 	}
 	if imp.cfg.DupProb > 0 && imp.rng.Float64() < imp.cfg.DupProb {
 		imp.Duplicated++
-		i.scheduleDeliver(pkt.Clone(), i.Delay+imp.extraDelay())
+		//lint:ignore hotpath duplication is fault injection; a deep clone keeps pool ownership single
+		dup := pkt.Clone()
+		i.scheduleDeliver(dup, i.Delay+imp.extraDelay())
 	}
 	i.scheduleDeliver(pkt, i.Delay+imp.extraDelay())
 }
 
 // scheduleDeliver arms the arrival event d from now.
+//
+//tva:hotpath
 func (i *Iface) scheduleDeliver(pkt *packet.Packet, d tvatime.Duration) {
-	i.Node.Sim.After(d, func() {
-		if i.down {
-			i.fault(pkt, telemetry.DropLinkDown)
-			return
-		}
-		i.deliver(pkt)
-	})
+	sim := i.Node.Sim
+	sim.schedule(sim.now.Add(d), payload{kind: evDeliver, ifc: i, pkt: pkt})
 }

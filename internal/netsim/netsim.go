@@ -13,6 +13,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"tva/internal/metrics"
 	"tva/internal/packet"
@@ -26,8 +27,7 @@ import (
 // from Run.
 type Sim struct {
 	now     tvatime.Time
-	events  eventHeap
-	seq     uint64
+	events  eventQueue
 	rng     *rand.Rand
 	horizon tvatime.Time // active Run bound; 0 = no Run in progress
 
@@ -64,16 +64,19 @@ func (s *Sim) Now() tvatime.Time { return s.now }
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn at absolute time t (>= now).
-func (s *Sim) At(t tvatime.Time, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.events.push(event{at: t, seq: s.seq, fn: fn})
-}
+func (s *Sim) At(t tvatime.Time, fn func()) { s.schedule(t, payload{kind: evFunc, fn: fn}) }
 
 // After schedules fn d from now.
 func (s *Sim) After(d tvatime.Duration, fn func()) { s.At(s.now.Add(d), fn) }
+
+// schedule queues p to fire at t, clamped to now. Ties fire in
+// scheduling order.
+func (s *Sim) schedule(t tvatime.Time, p payload) {
+	if t < s.now {
+		t = s.now
+	}
+	s.events.push(t, p)
+}
 
 // Every schedules fn every period until the returned stop function is
 // called. A stopped ticker never re-arms: at most one already-pending
@@ -95,12 +98,22 @@ func (s *Sim) Every(period tvatime.Duration, fn func()) (stop func()) {
 
 // Step runs the earliest event; it reports false when no events remain.
 func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
+	if len(s.events.keys) == 0 {
 		return false
 	}
-	ev := s.events.pop()
-	s.now = ev.at
-	ev.fn()
+	at, p := s.events.pop()
+	s.now = at
+	switch p.kind {
+	case evFunc:
+		p.fn()
+	case evTxDone:
+		p.ifc.txComplete(p.pkt)
+		p.ifc.txNext(true)
+	case evDeliver:
+		p.ifc.arrive(p.pkt)
+	case evRetry:
+		p.ifc.retry()
+	}
 	return true
 }
 
@@ -112,7 +125,7 @@ func (s *Sim) Step() bool {
 func (s *Sim) Run(until tvatime.Time) {
 	prev := s.horizon
 	s.horizon = until
-	for len(s.events) > 0 && s.events[0].at <= until {
+	for len(s.events.keys) > 0 && s.events.keys[0].at <= until {
 		s.Step()
 	}
 	s.horizon = prev
@@ -132,7 +145,7 @@ func (s *Sim) canInline(t tvatime.Time) bool {
 	if s.horizon == 0 || t > s.horizon {
 		return false
 	}
-	return len(s.events) == 0 || s.events[0].at > t
+	return len(s.events.keys) == 0 || s.events.keys[0].at > t
 }
 
 // TxBurstFill returns the mean packets moved per transmit-loop visit
@@ -144,62 +157,178 @@ func (s *Sim) TxBurstFill() float64 {
 	return float64(s.TxBurstPkts) / float64(s.TxBursts)
 }
 
-type event struct {
+// evKind selects what an event does when it fires. The per-packet
+// events name their interface and packet instead of capturing them in
+// a closure, so a packet hop schedules without allocating.
+type evKind uint8
+
+const (
+	evFunc    evKind = iota // run fn (At, After, Every)
+	evTxDone                // ifc finished serializing pkt
+	evDeliver               // pkt reaches the far end of ifc's wire
+	evRetry                 // ifc's rate limiter may release a packet
+)
+
+// payload is an event's action; which fields are set depends on kind.
+// A free slab slot holds only next.
+type payload struct {
+	fn   func()
+	ifc  *Iface
+	pkt  *packet.Packet
+	kind evKind
+	next uint32 // free list: the next free slot + 1, 0 at the end
+}
+
+// An eventKey's ord packs the event's sequence number above its slab
+// slot: 2^28 pending events at most, and 2^36 sequence numbers before
+// the queue renumbers.
+const (
+	slotBits = 28
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1<<(64-slotBits) - 1
+)
+
+// eventKey is one heap entry: the firing time, then ord, the
+// scheduling sequence number in the high bits and the payload's slab
+// slot in the low bits. Sequence numbers of pending events are unique,
+// so comparing ord compares sequence numbers and the slot never
+// decides an order.
+type eventKey struct {
 	at  tvatime.Time
-	seq uint64
-	fn  func()
+	ord uint64
 }
 
-// eventHeap is a value-based binary min-heap ordered by (at, seq).
-// Events are stored by value rather than behind container/heap's
-// interface, so scheduling does not heap-allocate per event; the
-// backing array shrinks and regrows in place, acting as the free-list
-// for retired event slots.
-type eventHeap []event
+func (a eventKey) less(b eventKey) bool {
+	return a.at < b.at || (a.at == b.at && a.ord < b.ord)
+}
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func compareKeys(a, b eventKey) int {
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
 	}
-	return h[i].seq < h[j].seq
+	return 0
 }
 
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	for i := len(s) - 1; i > 0; {
+// pageBits sizes a slab page: 256 payloads, 8 KB.
+const (
+	pageBits = 8
+	pageMask = 1<<pageBits - 1
+)
+
+type slabPage [1 << pageBits]payload
+
+// eventQueue is a binary min-heap of pointer-free keys ordered by
+// (at, seq), plus the slab of payloads the keys index. Sifting moves
+// 16-byte keys through a hole and never writes a pointer, so the GC
+// has nothing to scan in the heap array and no write barrier fires on
+// the sift path; a payload is written once when scheduled and cleared
+// once when popped. The slab grows a page at a time and never moves,
+// and freed slots are reused last-in first-out through a list threaded
+// through the slab itself, so steady-state scheduling allocates
+// nothing.
+type eventQueue struct {
+	seq   uint64 // sequence number of the latest push
+	keys  []eventKey
+	pages []*slabPage
+	slots uint32 // slots handed out so far
+	free  uint32 // head of the free list: slot + 1, or 0 when empty
+	warm  evKind // written only so the payload touch in pop is kept
+}
+
+func (q *eventQueue) slot(i uint32) *payload { return &q.pages[i>>pageBits][i&pageMask] }
+
+// push queues p at at, after every pending event with the same time.
+func (q *eventQueue) push(at tvatime.Time, p payload) {
+	if q.seq == maxSeq {
+		q.renumber()
+	}
+	q.seq++
+	var slot uint32
+	if q.free != 0 {
+		slot = q.free - 1
+		sp := q.slot(slot)
+		q.free = sp.next
+		*sp = p
+	} else {
+		if q.slots > slotMask {
+			panic("netsim: more than 2^28 events pending")
+		}
+		slot = q.slots
+		q.slots++
+		if slot>>pageBits == uint32(len(q.pages)) {
+			//lint:ignore hotpath one page per 256 slots of pending-event high water; freed slots are reused
+			q.pages = append(q.pages, new(slabPage))
+		}
+		*q.slot(slot) = p
+	}
+	k := eventKey{at: at, ord: q.seq<<slotBits | uint64(slot)}
+	q.keys = append(q.keys, k)
+	h := q.keys
+	i := len(h) - 1
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !k.less(h[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the closure reference for GC
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		small := i
-		if l := 2*i + 1; l < n && s.less(l, small) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && s.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+// renumber gives the pending events sequence numbers 1..n in their
+// current order, so sequence numbers never run out. A sorted array is
+// a valid heap.
+func (q *eventQueue) renumber() {
+	slices.SortFunc(q.keys, compareKeys)
+	for i := range q.keys {
+		q.keys[i].ord = uint64(i+1)<<slotBits | q.keys[i].ord&slotMask
 	}
-	return top
+	q.seq = uint64(len(q.keys))
+}
+
+// pop removes the earliest event and returns its time and payload.
+func (q *eventQueue) pop() (tvatime.Time, payload) {
+	h := q.keys
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	q.keys = h
+	if n > 0 {
+		i := 0
+		for {
+			m := 2*i + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && h[r].less(h[m]) {
+				m = r
+			}
+			if !h[m].less(last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	slot := uint32(top.ord & slotMask)
+	sp := q.slot(slot)
+	p := *sp
+	// Dropping the closure and packet references lets the GC have them.
+	*sp = payload{next: q.free}
+	q.free = slot + 1
+	if n > 0 {
+		// Touch the new earliest event's payload: its slot is random in
+		// the slab, and loading it now overlaps the cache miss with the
+		// handler about to run instead of stalling the next pop.
+		q.warm = q.slot(uint32(h[0].ord & slotMask)).kind
+	}
+	return top.at, p
 }
 
 // Handler processes packets arriving at a node. in is the interface
@@ -381,6 +510,8 @@ func Connect(a, b *Node, bps int64, delay tvatime.Duration, schedAB, schedBA sch
 
 // Send enqueues pkt on this interface's output queue and starts
 // transmission if the link is idle.
+//
+//tva:hotpath
 func (i *Iface) Send(pkt *packet.Packet) {
 	sim := i.Node.Sim
 	pkt.EnqueuedAt = sim.now
@@ -480,6 +611,8 @@ func (i *Iface) txTime(size int) tvatime.Duration {
 // running event (tail=true, the completion event's own callback). A
 // kick from inside an enqueue is mid-event: code after it would
 // observe the advanced clock and schedule at wrong times.
+//
+//tva:hotpath
 func (i *Iface) txNext(tail bool) {
 	sim := i.Node.Sim
 	burst := 0
@@ -495,12 +628,7 @@ func (i *Iface) txNext(tail bool) {
 			i.busy = false
 			if retry > sim.now && !i.retryPending {
 				i.retryPending = true
-				sim.At(retry, func() {
-					i.retryPending = false
-					if !i.busy && i.Sched.Len() > 0 {
-						i.kick()
-					}
-				})
+				sim.schedule(retry, payload{kind: evRetry, ifc: i})
 			}
 			break
 		}
@@ -524,10 +652,7 @@ func (i *Iface) txNext(tail bool) {
 			continue
 		}
 		burst++
-		sim.At(done, func() {
-			i.txComplete(pkt)
-			i.txNext(true)
-		})
+		sim.schedule(done, payload{kind: evTxDone, ifc: i, pkt: pkt})
 		break
 	}
 	if burst > 0 {
@@ -538,6 +663,8 @@ func (i *Iface) txNext(tail bool) {
 
 // txComplete finishes one packet's transmission: accounting, the tx
 // span, and the move onto the wire.
+//
+//tva:hotpath
 func (i *Iface) txComplete(pkt *packet.Packet) {
 	sim := i.Node.Sim
 	i.Stats.SentPkts++
@@ -548,7 +675,22 @@ func (i *Iface) txComplete(pkt *packet.Packet) {
 	i.launch(pkt)
 }
 
-func (i *Iface) deliver(pkt *packet.Packet) {
+// retry is the rate limiter's wake-up: restart the transmit loop if
+// it went idle with packets still queued.
+func (i *Iface) retry() {
+	i.retryPending = false
+	if !i.busy && i.Sched.Len() > 0 {
+		i.kick()
+	}
+}
+
+// arrive hands pkt to the peer's handler at the end of its flight,
+// unless an outage cut the link while it was on the wire.
+func (i *Iface) arrive(pkt *packet.Packet) {
+	if i.down {
+		i.fault(pkt, telemetry.DropLinkDown)
+		return
+	}
 	peer := i.Peer
 	if peer.Node.Handler != nil {
 		peer.Node.Handler.Receive(pkt, peer)
